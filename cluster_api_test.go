@@ -169,14 +169,39 @@ func TestAppRegistry(t *testing.T) {
 			t.Errorf("Apps() = %v, missing built-in %q", names, want)
 		}
 	}
-	if _, err := rips.LookupApp("nq", 8); err != nil {
-		t.Errorf("LookupApp(nq, 8): %v", err)
+	// Resolvable names and sizes; size 0 selects each family's default.
+	for _, c := range []struct {
+		family string
+		size   int
+		name   string
+	}{
+		{"nq", 0, "13-queens"},
+		{"nq", 8, "8-queens"},
+		{"nq", 9, "9-queens"},
+		{"ida", 0, "15-puzzle #1"},
+		{"ida", 2, "15-puzzle #2"},
+		{"gromos", 0, "gromos 8A"},
+		{"gromos", 12, "gromos 12A"},
+	} {
+		a, err := rips.LookupApp(c.family, c.size)
+		if err != nil {
+			t.Errorf("LookupApp(%q, %d): %v", c.family, c.size, err)
+			continue
+		}
+		if a.Name() != c.name {
+			t.Errorf("LookupApp(%q, %d).Name() = %q, want %q", c.family, c.size, a.Name(), c.name)
+		}
 	}
-	if _, err := rips.LookupApp("nq", 0); err != nil {
-		t.Errorf("LookupApp(nq, 0) default size: %v", err)
-	}
-	if _, err := rips.LookupApp("ida", 9); err == nil {
-		t.Error("LookupApp(ida, 9) accepted an out-of-range configuration")
+	// Out-of-range sizes and unknown families are refused.
+	for _, c := range []struct {
+		family string
+		size   int
+	}{
+		{"nq", 3}, {"ida", 4}, {"ida", 9}, {"ida", -1}, {"gromos", -8}, {"chess", 0},
+	} {
+		if _, err := rips.LookupApp(c.family, c.size); err == nil {
+			t.Errorf("LookupApp(%q, %d) succeeded, want error", c.family, c.size)
+		}
 	}
 	_, err := rips.LookupApp("nope", 0)
 	if err == nil {

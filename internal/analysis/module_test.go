@@ -57,28 +57,33 @@ func TestHotpathCoverage(t *testing.T) {
 		hotSet[name] = true
 	}
 	// The steady-state hot set of the real-parallel backend (see
-	// TestSteadyStateZeroAlloc in internal/par): the phase loop, both
-	// leader callbacks, the parallel plan application, and the queue
-	// operations under them.
+	// TestSteadyStateZeroAlloc in internal/par): the phase engine's
+	// loop, both leader callbacks, the parallel plan application, the
+	// worker store operations, and the queue operations under them.
 	for _, fn := range []string{
-		"par.(*ripsRun).workerMain",
-		"par.(*ripsRun).phaseStep",
-		"par.(*ripsRun).userPhase",
-		"par.(*ripsRun).initiate",
-		"par.(*ripsRun).detectWait",
-		"par.(*ripsRun).execute",
-		"par.(*ripsRun).beginPhase",
-		"par.(*ripsRun).finishPhase",
-		"par.(*ripsRun).updateDetector",
-		"par.(*ripsRun).stageMoves",
-		"par.(*ripsRun).partitionWaves",
-		"par.(*ripsRun).waveRange",
-		"par.(*ripsRun).applyTake",
-		"par.(*ripsRun).applyPush",
-		"par.(*ripsRun).takeMove",
-		"par.(*ripsRun).pushMove",
+		"par.(*engine).phaseLoop",
+		"par.(*engine).phaseStep",
+		"par.(*engine).userPhase",
+		"par.(*engine).initiate",
+		"par.(*detector).current",
+		"par.(*engine).execute",
+		"par.(*engine).beginPhase",
+		"par.(*engine).finishPhase",
+		"par.(*detector).update",
+		"par.(*engine).stageMoves",
+		"par.(*engine).ensureXbuf",
+		"par.(*engine).partitionWaves",
+		"par.(*engine).waveRange",
+		"par.(*engine).applyTake",
+		"par.(*engine).applyPush",
+		"par.(*engine).takeMove",
+		"par.(*engine).pushMove",
 		"par.(*epochBarrier).await",
-		"par.(*ripsWorker).newID",
+		"par.(*worker).newID",
+		"par.(*worker).load",
+		"par.(*worker).pop",
+		"par.(*worker).pushAll",
+		"par.(*worker).takeInto",
 		"task.(*Queue).PushAll",
 		"task.(*Queue).PushBack",
 		"task.(*Queue).PopFront",
@@ -98,7 +103,7 @@ func TestHotpathCoverage(t *testing.T) {
 	// application); it appears as a function literal node.
 	foundEmit := false
 	for _, name := range hot {
-		if strings.HasPrefix(name, "par.newRipsRun.func@") {
+		if strings.HasPrefix(name, "par.newEngine.func@") {
 			foundEmit = true
 		}
 	}

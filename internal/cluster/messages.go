@@ -89,6 +89,20 @@ func (r *rbuf) bytes(what string) []byte {
 
 func (r *rbuf) str(what string) string { return string(r.bytes(what)) }
 
+// count reads a u32 element count and refuses one the remaining bytes
+// cannot hold at minElem encoded bytes per element, so a hostile count
+// cannot make the decoder pre-allocate beyond what its input backs.
+func (r *rbuf) count(minElem int, what string) int {
+	n := r.u32(what)
+	if r.err == nil && int64(n) > int64(len(r.b)/minElem) {
+		r.err = fmt.Errorf("cluster: malformed payload: %s %d exceeds the %d bytes left", what, n, len(r.b))
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
 func (r *rbuf) boolean(what string) bool {
 	switch r.u8(what) {
 	case 0:
@@ -138,12 +152,9 @@ func encodeMembers(addrs []string) []byte {
 
 func decodeMembers(p []byte) ([]string, error) {
 	r := rbuf{b: p}
-	n := r.u32("count")
-	if n > maxPayload/4 {
-		return nil, fmt.Errorf("cluster: malformed payload: absurd member count %d", n)
-	}
+	n := r.count(4, "member count") // each address is at least its u32 length
 	addrs := make([]string, 0, n)
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		addrs = append(addrs, r.str("addr"))
 	}
 	return addrs, r.fin()
@@ -310,12 +321,9 @@ func (m batchMsg) encode() []byte {
 func decodeBatch(p []byte) (batchMsg, error) {
 	r := rbuf{b: p}
 	m := batchMsg{Job: r.u64("job"), To: int(r.u32("to"))}
-	n := r.u32("count")
-	if n > maxPayload/8 {
-		return batchMsg{}, fmt.Errorf("cluster: malformed batch: absurd task count %d", n)
-	}
+	n := r.count(20, "task count") // id, origin, size and payload length
 	m.Tasks = make([]wireTask, 0, n)
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		m.Tasks = append(m.Tasks, wireTask{
 			ID:      r.u64("task id"),
 			Origin:  int(r.u32("task origin")),

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -188,6 +189,33 @@ func TestMessageDecodeErrors(t *testing.T) {
 	rm[4+8*8] = 7 // the canceled byte
 	if _, err := decodeResult(rm); err == nil {
 		t.Fatal("non-canonical bool decoded")
+	}
+}
+
+// TestDecodeHostileCountBounded feeds the two count-prefixed decoders
+// payloads whose element count claims far more than the bytes present:
+// each must fail without pre-allocating for the claimed count.
+func TestDecodeHostileCountBounded(t *testing.T) {
+	batch := make([]byte, 16) // job, to, then a count of maxPayload/8 tasks
+	binary.BigEndian.PutUint32(batch[12:], maxPayload/8)
+	members := binary.BigEndian.AppendUint32(nil, maxPayload/4)
+	for _, c := range []struct {
+		name   string
+		decode func() error
+	}{
+		{"batch", func() error { _, err := decodeBatch(batch); return err }},
+		{"members", func() error { _, err := decodeMembers(members); return err }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.decode()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: hostile count decoded without error", c.name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("%s: decoding a hostile payload allocated %d bytes", c.name, grew)
+		}
 	}
 }
 

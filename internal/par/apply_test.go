@@ -1,6 +1,7 @@
 package par
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -15,7 +16,7 @@ import (
 // has yet to deliver, so each move must land in its own wave.
 func TestPartitionWaves(t *testing.T) {
 	cfg := Config{Topo: topo.NewMesh(1, 4), App: queens8()}
-	r := newRipsRun(&cfg)
+	r := newEngine(&cfg)
 	copy(r.loads, []int{8, 0, 0, 0})
 	w0 := r.workers[0]
 	ids := map[uint64]bool{}
@@ -83,7 +84,7 @@ func TestParallelApplyConcurrent(t *testing.T) {
 	} {
 		t.Run(tp.Name(), func(t *testing.T) {
 			cfg := Config{Topo: tp, App: queens8(), ParallelApplyMin: -1}
-			r := newRipsRun(&cfg)
+			r := newEngine(&cfg)
 			n := tp.Size()
 			const total = 203 // awkward remainder so quotas differ by one
 			ids := map[uint64]bool{}
@@ -97,7 +98,7 @@ func TestParallelApplyConcurrent(t *testing.T) {
 			var wg sync.WaitGroup
 			for _, w := range r.workers {
 				wg.Add(1)
-				go func(w *ripsWorker) {
+				go func(w *worker) {
 					defer wg.Done()
 					var point int64
 					if !r.phaseStep(w, &point) {
@@ -145,10 +146,10 @@ func TestApplyModesAgree(t *testing.T) {
 	checkQueens8(t, ref, "RIPS default apply")
 
 	serial := base
-	serial.SerialApply = true
+	serial.ParallelApplyMin = math.MaxInt
 	sres := mustRun(t, serial)
 	if sres.Waves != 0 {
-		t.Errorf("SerialApply fanned out %d waves", sres.Waves)
+		t.Errorf("serial apply (ParallelApplyMin = MaxInt) fanned out %d waves", sres.Waves)
 	}
 
 	forced := base
@@ -172,33 +173,28 @@ func TestApplyModesAgree(t *testing.T) {
 // to the cap, productive phases fall back to the base, and the
 // constant/disabled Config overrides bypass adaptation entirely.
 func TestAdaptiveDetector(t *testing.T) {
-	cfg := &Config{}
-	r := &ripsRun{cfg: cfg, n: 64, det: newDetector(cfg)}
+	const parties = 64
+	det := newDetector(&Config{})
 	for i := 0; i < 64; i++ {
-		r.phaseMoved = 0
-		r.updateDetector()
+		det.update(0, parties)
 	}
-	if want := adaptMaxFactor * DefaultDetectInterval; r.det.wait != want {
-		t.Errorf("starved detector wait = %v, want cap %v", r.det.wait, want)
+	if want := adaptMaxFactor * DefaultDetectInterval; det.current() != want {
+		t.Errorf("starved detector wait = %v, want cap %v", det.current(), want)
 	}
 	for i := 0; i < 64; i++ {
-		r.phaseMoved = 8 * r.n
-		r.updateDetector()
+		det.update(8*parties, parties)
 	}
-	if r.det.wait != DefaultDetectInterval {
-		t.Errorf("productive detector wait = %v, want base %v", r.det.wait, DefaultDetectInterval)
+	if det.current() != DefaultDetectInterval {
+		t.Errorf("productive detector wait = %v, want base %v", det.current(), DefaultDetectInterval)
 	}
 
-	ccfg := &Config{DetectInterval: time.Millisecond}
-	rc := &ripsRun{cfg: ccfg, n: 64, det: newDetector(ccfg)}
-	rc.phaseMoved = 0
-	rc.updateDetector()
-	if got := rc.detectWait(); got != time.Millisecond {
+	constant := newDetector(&Config{DetectInterval: time.Millisecond})
+	constant.update(0, parties)
+	if got := constant.current(); got != time.Millisecond {
 		t.Errorf("constant override wait = %v, want %v", got, time.Millisecond)
 	}
-	dcfg := &Config{DetectInterval: -1}
-	rd := &ripsRun{cfg: dcfg, n: 64, det: newDetector(dcfg)}
-	if got := rd.detectWait(); got != 0 {
+	disabled := newDetector(&Config{DetectInterval: -1})
+	if got := disabled.current(); got != 0 {
 		t.Errorf("disabled detector wait = %v, want 0", got)
 	}
 }

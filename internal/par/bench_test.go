@@ -1,6 +1,7 @@
 package par
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -61,7 +62,7 @@ func (a *benchApp) Execute(data any, emit func(app.Spawn)) sim.Time {
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	t.Run("execute", func(t *testing.T) {
 		cfg := Config{Topo: topo.NewMesh(1, 1), App: newBenchApp(1, 8)}
-		r := newRipsRun(&cfg)
+		r := newEngine(&cfg)
 		w := r.workers[0]
 		root := cfg.App.(*benchApp).root
 		drain := func() {
@@ -83,7 +84,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 
 	t.Run("balanced-phase", func(t *testing.T) {
 		cfg := Config{Topo: topo.NewMesh(2, 2), App: newBenchApp(1, 2)}
-		r := newRipsRun(&cfg)
+		r := newEngine(&cfg)
 		for _, w := range r.workers {
 			for k := 0; k < 8; k++ {
 				w.rte.PushBack(task.Task{ID: w.newID(), Origin: w.id})
@@ -98,7 +99,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 
 	t.Run("apply", func(t *testing.T) {
 		cfg := Config{Topo: topo.NewMesh(1, 2), App: newBenchApp(1, 2)}
-		r := newRipsRun(&cfg)
+		r := newEngine(&cfg)
 		const k = 64
 		w0 := r.workers[0]
 		for i := 0; i < 2*k; i++ {
@@ -134,7 +135,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 // 8-fanout task and pop its children back off the queue.
 func BenchmarkExecute(b *testing.B) {
 	cfg := Config{Topo: topo.NewMesh(1, 1), App: newBenchApp(1, 8)}
-	r := newRipsRun(&cfg)
+	r := newEngine(&cfg)
 	w := r.workers[0]
 	root := cfg.App.(*benchApp).root
 	b.ReportAllocs()
@@ -177,7 +178,7 @@ func BenchmarkExchange(b *testing.B) {
 // BENCH_par.json alongside the machine's core count.
 func BenchmarkSystemPhase(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
-		benchmarkSystemPhase(b, Config{SerialApply: true})
+		benchmarkSystemPhase(b, Config{ParallelApplyMin: math.MaxInt})
 	})
 	b.Run("parallel", func(b *testing.B) {
 		benchmarkSystemPhase(b, Config{ParallelApplyMin: -1})
@@ -187,7 +188,7 @@ func BenchmarkSystemPhase(b *testing.B) {
 func benchmarkSystemPhase(b *testing.B, cfg Config) {
 	cfg.Topo = topo.NewMesh(4, 4)
 	cfg.App = newBenchApp(1, 2)
-	r := newRipsRun(&cfg)
+	r := newEngine(&cfg)
 	const perWorker = 2048
 	fill := func() {
 		for _, w := range r.workers {
@@ -209,7 +210,7 @@ func benchmarkSystemPhase(b *testing.B, cfg Config) {
 		var wg sync.WaitGroup
 		for _, w := range r.workers {
 			wg.Add(1)
-			go func(w *ripsWorker) {
+			go func(w *worker) {
 				defer wg.Done()
 				var point int64
 				r.phaseStep(w, &point)

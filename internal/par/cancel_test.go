@@ -6,14 +6,14 @@ import (
 	"time"
 
 	"rips/internal/apps/nqueens"
-	"rips/internal/ripsrt"
 	"rips/internal/topo"
 )
 
 // bigQueens returns a workload long enough that a mid-run cancel is
-// guaranteed to land while tasks are still being executed: 13-Queens
-// at split depth 4 runs for seconds on a handful of workers.
-func bigQueens() *nqueens.App { return nqueens.New(13, 4) }
+// guaranteed to land while tasks are still being executed: 15-Queens
+// at split depth 4 runs for about a second on a handful of workers
+// (13-Queens finishes in ~30ms on a 2-core host, racing the cancel).
+func bigQueens() *nqueens.App { return nqueens.New(15, 4) }
 
 // runCanceled runs cfg with a cancel fired after delay and checks the
 // common abort contract: ErrCanceled, Canceled set, partial progress.
@@ -45,25 +45,6 @@ func runCanceled(t *testing.T, cfg Config, delay time.Duration) Result {
 		t.Errorf("%s: canceled run took %v after the %v delay", cfg.Strategy, elapsed, delay)
 	}
 	return res
-}
-
-// TestCancelRIPS aborts a mid-flight RIPS run on every policy pair and
-// checks the workers unwind through the epoch barrier promptly.
-func TestCancelRIPS(t *testing.T) {
-	for _, local := range []ripsrt.LocalPolicy{ripsrt.Lazy, ripsrt.Eager} {
-		for _, global := range []ripsrt.GlobalPolicy{ripsrt.Any, ripsrt.All} {
-			res := runCanceled(t, Config{
-				Topo:   topo.NewMesh(2, 2),
-				App:    bigQueens(),
-				Local:  local,
-				Global: global,
-			}, 20*time.Millisecond)
-			if res.Executed == 0 {
-				t.Errorf("RIPS %s-%s: no tasks executed before the cancel landed",
-					global, local)
-			}
-		}
-	}
 }
 
 // TestCancelSteal aborts a work-stealing run: the deques may hold

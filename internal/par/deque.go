@@ -99,12 +99,12 @@ func (d *deque) pop() *task.Task {
 }
 
 // takeTopInto removes up to len(dst) tasks from the top — the steal
-// end, so the oldest and typically largest subtrees leave first — into
-// dst, returning the count taken. Quiescent use only: the hybrid
-// system phases call it with the world stopped at the epoch barrier,
-// so no owner or thief is concurrently operating and the plain
-// top-store needs no CAS.
-func (d *deque) takeTopInto(dst []*task.Task) int {
+// end, so the oldest and typically largest subtrees leave first —
+// copying them into dst and returning the count taken. Quiescent use
+// only: system phases call it with the world stopped at the epoch
+// barrier, so no owner or thief is concurrently operating and the
+// plain top-store needs no CAS.
+func (d *deque) takeTopInto(dst []task.Task) int {
 	tp := d.top.Load()
 	b := d.bottom.Load()
 	n := b - tp
@@ -116,7 +116,7 @@ func (d *deque) takeTopInto(dst []*task.Task) int {
 	}
 	r := d.buf.Load()
 	for i := int64(0); i < n; i++ {
-		dst[i] = r.slots[(tp+i)&r.mask].Load()
+		dst[i] = *r.slots[(tp+i)&r.mask].Load()
 	}
 	d.top.Store(tp + n)
 	return int(n)

@@ -114,3 +114,34 @@ func TestDequeConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestTakeTopInto unit-tests the quiescent bulk take: tasks leave from
+// the steal end in FIFO order, the remainder pops LIFO as usual, and
+// over-asking takes exactly what is there.
+func TestTakeTopInto(t *testing.T) {
+	d := newDeque()
+	tasks := make([]task.Task, 6)
+	for i := range tasks {
+		tasks[i] = task.Task{ID: uint64(i)}
+		d.push(&tasks[i])
+	}
+	dst := make([]task.Task, 4)
+	if got := d.takeTopInto(dst); got != 4 {
+		t.Fatalf("takeTopInto(4 of 6) = %d", got)
+	}
+	for i := 0; i < 4; i++ {
+		if dst[i].ID != uint64(i) {
+			t.Errorf("taken[%d].ID = %d, want %d (FIFO from the steal end)", i, dst[i].ID, i)
+		}
+	}
+	if tk := d.pop(); tk == nil || tk.ID != 5 {
+		t.Errorf("pop after bulk take = %v, want ID 5 (LIFO bottom)", tk)
+	}
+	big := make([]task.Task, 8)
+	if got := d.takeTopInto(big); got != 1 || big[0].ID != 4 {
+		t.Errorf("takeTopInto(8 of 1) = %d, big[0]=%v; want 1 task with ID 4", got, big[0])
+	}
+	if got := d.takeTopInto(big); got != 0 {
+		t.Errorf("takeTopInto(empty) = %d, want 0", got)
+	}
+}

@@ -2,8 +2,8 @@ package par
 
 import "time"
 
-// detector is the adaptive ANY-policy transfer detector shared by the
-// RIPS and Hybrid strategies: an EWMA of tasks moved per system phase
+// detector is the adaptive ANY-policy transfer detector of the phase
+// engine (RIPS and Hybrid): an EWMA of tasks moved per system phase
 // scales the wait a drained worker sits out before publishing the
 // transfer request, so near-empty phases back off automatically. The
 // leader updates it inside the epoch barrier; workers read the derived
@@ -42,7 +42,7 @@ const (
 // re-derives the adaptive wait. Phases that move little work are pure
 // overhead, so a falling EWMA backs the next request off — which
 // removes the one tuning knob the backend had (ROADMAP "Adaptive
-// DetectInterval"). parties is the count of balanced entities: workers
+// DetectInterval"). parties is the count of balanced groups: workers
 // under RIPS, domains under Hybrid.
 func (d *detector) update(moved, parties int) {
 	d.ewma = adaptEwmaOld*d.ewma + (1-adaptEwmaOld)*float64(moved)

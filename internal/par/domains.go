@@ -73,8 +73,13 @@ func workerDomains(blocks [][2]int, workers int) []int {
 // hybrid run balances across domains with the same walking algorithm
 // the pure-RIPS run uses across nodes — and intra-domain edges, which
 // hybrid handles by stealing instead, simply do not exist in the
-// virtual mesh the planner sees.
+// virtual mesh the planner sees. With one domain per node the machine
+// itself is the domain topology, which is how one-worker groups plan
+// exactly like RIPS.
 func domainTopology(machine topo.Topology, nd int) topo.Topology {
+	if nd == machine.Size() {
+		return machine
+	}
 	switch machine.(type) {
 	case *topo.Tree:
 		return topo.NewTree(nd)

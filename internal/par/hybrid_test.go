@@ -6,11 +6,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"rips/internal/affinity"
-	"rips/internal/ripsrt"
-	"rips/internal/task"
 	"rips/internal/topo"
 )
 
@@ -32,50 +29,6 @@ func withAffinity(t *testing.T, doms []affinity.Domain, pin func([]int) (func(),
 // CPU 0, so pinning succeeds on any host.
 func twoNodes() []affinity.Domain {
 	return []affinity.Domain{{Node: 0, CPUs: []int{0}}, {Node: 1, CPUs: []int{0}}}
-}
-
-// TestHybridPolicies runs every Local x Global combination over a real
-// mesh split into two domains and checks the answer never depends on
-// the policy — the hybrid analogue of TestRIPSPolicies.
-func TestHybridPolicies(t *testing.T) {
-	for _, local := range []ripsrt.LocalPolicy{ripsrt.Lazy, ripsrt.Eager} {
-		for _, global := range []ripsrt.GlobalPolicy{ripsrt.Any, ripsrt.All} {
-			res := mustRun(t, Config{
-				Topo:        topo.NewMesh(2, 2),
-				App:         queens8(),
-				Strategy:    Hybrid,
-				Domains:     2,
-				Local:       local,
-				Global:      global,
-				TracePhases: true,
-			})
-			label := "hybrid " + global.String() + "-" + local.String()
-			checkQueens8(t, res, label)
-			if res.Domains != 2 {
-				t.Errorf("%s: Domains = %d, want 2", label, res.Domains)
-			}
-			if res.Phases == 0 {
-				t.Errorf("%s: no system phases ran", label)
-			}
-			if res.PhaseTotals[len(res.PhaseTotals)-1] != 0 {
-				t.Errorf("%s: final phase total %d, want 0 (termination)", label, res.PhaseTotals[len(res.PhaseTotals)-1])
-			}
-			if res.CrossSteals != 0 {
-				t.Errorf("%s: %d cross-domain steals; hybrid stealing must stay in-domain", label, res.CrossSteals)
-			}
-			var ds, dm int64
-			for _, v := range res.DomainSteals {
-				ds += v
-			}
-			for _, v := range res.DomainMigrated {
-				dm += v
-			}
-			if ds != res.Steals || dm != res.Migrated {
-				t.Errorf("%s: domain breakdowns sum to %d/%d, totals are %d/%d",
-					label, ds, dm, res.Steals, res.Migrated)
-			}
-		}
-	}
 }
 
 // TestHybridTopologies checks the domain-level tree and hypercube
@@ -257,27 +210,6 @@ func TestHybridSingleNodeMachineSkipsPinning(t *testing.T) {
 	}
 }
 
-// TestHybridCancel aborts mid-flight hybrid runs on every policy pair:
-// workers must unwind through the epoch barrier promptly, including
-// any worker asleep in its detector wait.
-func TestHybridCancel(t *testing.T) {
-	for _, local := range []ripsrt.LocalPolicy{ripsrt.Lazy, ripsrt.Eager} {
-		for _, global := range []ripsrt.GlobalPolicy{ripsrt.Any, ripsrt.All} {
-			res := runCanceled(t, Config{
-				Topo:     topo.NewMesh(2, 2),
-				App:      bigQueens(),
-				Strategy: Hybrid,
-				Domains:  2,
-				Local:    local,
-				Global:   global,
-			}, 20*time.Millisecond)
-			if res.Executed == 0 {
-				t.Errorf("hybrid %s-%s: no tasks executed before the cancel landed", global, local)
-			}
-		}
-	}
-}
-
 // TestHybridValidate covers the Domains-specific validation paths.
 func TestHybridValidate(t *testing.T) {
 	cases := []struct {
@@ -329,37 +261,6 @@ func TestHybridPoolMatchesRun(t *testing.T) {
 	if pooled.AppResult != direct.AppResult || pooled.Generated != direct.Generated {
 		t.Errorf("pooled hybrid run diverges: result %d/%d generated %d/%d",
 			pooled.AppResult, direct.AppResult, pooled.Generated, direct.Generated)
-	}
-}
-
-// TestTakeTopInto unit-tests the quiescent bulk take: tasks leave from
-// the steal end in FIFO order, the remainder pops LIFO as usual, and
-// over-asking takes exactly what is there.
-func TestTakeTopInto(t *testing.T) {
-	d := newDeque()
-	tasks := make([]task.Task, 6)
-	for i := range tasks {
-		tasks[i] = task.Task{ID: uint64(i)}
-		d.push(&tasks[i])
-	}
-	dst := make([]*task.Task, 4)
-	if got := d.takeTopInto(dst); got != 4 {
-		t.Fatalf("takeTopInto(4 of 6) = %d", got)
-	}
-	for i := 0; i < 4; i++ {
-		if dst[i].ID != uint64(i) {
-			t.Errorf("taken[%d].ID = %d, want %d (FIFO from the steal end)", i, dst[i].ID, i)
-		}
-	}
-	if tk := d.pop(); tk == nil || tk.ID != 5 {
-		t.Errorf("pop after bulk take = %v, want ID 5 (LIFO bottom)", tk)
-	}
-	big := make([]*task.Task, 8)
-	if got := d.takeTopInto(big); got != 1 || big[0].ID != 4 {
-		t.Errorf("takeTopInto(8 of 1) = %d, big[0]=%v; want 1 task with ID 4", got, big[0])
-	}
-	if got := d.takeTopInto(big); got != 0 {
-		t.Errorf("takeTopInto(empty) = %d, want 0", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"math"
 	"sync"
 	"time"
 
@@ -21,11 +22,11 @@ import (
 // full app run it cannot under-measure on few cores, where a fast
 // worker drains a small workload before any unbalanced phase fires.
 func MeasureSystemPhase(workers, tasksPerWorker, phases int, serial bool) (time.Duration, int64) {
-	cfg := Config{Topo: topo.SquarishMesh(workers), SerialApply: serial}
-	if !serial {
-		cfg.ParallelApplyMin = -1
+	cfg := Config{Topo: topo.SquarishMesh(workers), ParallelApplyMin: -1}
+	if serial {
+		cfg.ParallelApplyMin = math.MaxInt
 	}
-	r := newRipsRun(&cfg)
+	r := newEngine(&cfg)
 	fill := func() {
 		for _, w := range r.workers {
 			w.rte.Clear()
@@ -44,7 +45,7 @@ func MeasureSystemPhase(workers, tasksPerWorker, phases int, serial bool) (time.
 		var wg sync.WaitGroup
 		for _, w := range r.workers {
 			wg.Add(1)
-			go func(w *ripsWorker) {
+			go func(w *worker) {
 				defer wg.Done()
 				var point int64
 				r.phaseStep(w, &point)

@@ -1,15 +1,20 @@
 // Package par is the real-parallel execution backend: it runs the
 // unchanged app.App workloads over P worker goroutines on actual
 // cores, where the virtual-time simulator (internal/sim + ripsrt)
-// runs them one node at a time. The workers are pinned to the nodes
-// of a virtual machine topology — worker k plays node k of the mesh,
-// tree or hypercube — and execute the paper's phase protocol for
-// real:
+// runs them one node at a time. RIPS and Hybrid run one phase-protocol
+// engine (engine.go) whose balancing unit is a group: a contiguous
+// worker block that a system phase treats as one node of the plan.
+// RIPS is P one-worker groups, so worker k plays node k of the mesh,
+// tree or hypercube; Hybrid is one group per affinity domain, planned
+// over a domain-level mirror of the machine. The engine executes the
+// paper's phase protocol for real:
 //
-//   - User phases: every worker executes tasks from its own deque,
+//   - User phases: every worker executes tasks from its own store,
 //     filing spawned children under the configured local policy (Lazy:
-//     straight back into the executable deque; Eager: into a staging
-//     queue that only a system phase can release).
+//     straight back into the executable store; Eager: into a staging
+//     queue that only a system phase can release). The store follows
+//     from the partition: a FIFO task.Queue when every group has one
+//     worker, otherwise a Chase-Lev deque that group-mates steal from.
 //   - Transfer detection: the ANY policy is an atomic request word
 //     carrying the user-phase index — the first drained worker
 //     publishes it (compare-and-swap, so redundant initiators cancel
@@ -20,16 +25,17 @@
 //     completes only when every worker has drained.
 //   - System phases: a phase-indexed epoch barrier stops the world;
 //     the last worker to arrive becomes the leader, snapshots the
-//     per-worker loads, runs the pure planner of the machine topology
+//     per-group loads, runs the pure planner of the group machine
 //     (mwa.Plan, treewalk.Plan or cubewalk.Plan — the same code the
 //     simulator's message-passing phases are validated against) and
-//     applies the plan as slice transfers between deques. Conservation
-//     and the Theorem 1 balance are invariant-checked on every phase.
+//     applies the plan as slice transfers between group stores.
+//     Conservation and the Theorem 1 balance are invariant-checked on
+//     every phase.
 //
-// The same backend houses a Chase-Lev-style work-stealing strategy
-// (Steal) over the identical worker/deque layout, so RIPS versus
+// The same backend houses a Chase-Lev work-stealing strategy (Steal,
+// steal.go) over the identical worker layout, so RIPS versus
 // work-stealing is an apples-to-apples wall-clock comparison — the
-// benchmark cmd/ripsbench parscale reports both side by side.
+// benchmark cmd/ripsbench parscale reports all three side by side.
 //
 // Because this backend measures real elapsed time, its files carry
 // file-scope wallclock waivers (see the policy in internal/analysis):
@@ -88,7 +94,7 @@ func (s Strategy) String() string {
 // before requesting the transfer itself. The real-time analogue of
 // ripsrt.DefaultInitBackoff. When Config.DetectInterval is zero the
 // wait adapts upward from this base as the per-phase migration yield
-// falls (see the adaptive detector in rips.go).
+// falls (see detector.go).
 const DefaultDetectInterval = 100 * time.Microsecond
 
 // DefaultParallelApplyMin is the minimum plan cost (tasks moved by one
@@ -137,14 +143,12 @@ type Config struct {
 	DetectInterval time.Duration
 	// ParallelApplyMin is the minimum plan cost (tasks migrated by one
 	// system phase) at which the leader fans plan application out to
-	// all workers in two-phase waves instead of applying the moves
-	// alone. Zero means DefaultParallelApplyMin; negative fans out
-	// every plan (stress/benchmark use). Ignored under SerialApply.
+	// the group leaders in two-phase waves instead of applying the
+	// moves alone. Zero means DefaultParallelApplyMin; negative fans
+	// out every plan (stress/benchmark use); a threshold above any plan
+	// (math.MaxInt) applies every plan serially, the pre-parallel-apply
+	// baseline. The computed answer is identical either way.
 	ParallelApplyMin int
-	// SerialApply forces the leader to apply every plan alone — the
-	// pre-parallel-apply behavior, kept as the benchmark baseline and
-	// ablation knob. The computed answer is identical either way.
-	SerialApply bool
 	// TracePhases records the full per-phase task-total trace in
 	// Result.PhaseTotals. Off by default so long runs keep only the
 	// bounded count/sum/max summary and stop growing memory per phase.
@@ -363,10 +367,8 @@ func runOn(cfg *Config, d driver) (Result, error) {
 	switch cfg.Strategy {
 	case Steal:
 		res, err = runSteal(cfg, d)
-	case Hybrid:
-		res, err = runHybrid(cfg, d)
 	default:
-		res, err = runRIPS(cfg, d)
+		res, err = runPhases(cfg, d)
 	}
 	if err != nil {
 		return res, err

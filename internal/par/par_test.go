@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"rips/internal/apps/nqueens"
-	"rips/internal/ripsrt"
 	"rips/internal/topo"
 )
 
@@ -33,45 +32,6 @@ func checkQueens8(t *testing.T, res Result, label string) {
 	}
 	if res.Wall <= 0 || res.Busy <= 0 {
 		t.Errorf("%s: non-positive timings Wall=%v Busy=%v", label, res.Wall, res.Busy)
-	}
-}
-
-// TestRIPSPolicies runs every Local x Global combination over a real
-// mesh and checks the answer never depends on the policy.
-func TestRIPSPolicies(t *testing.T) {
-	for _, local := range []ripsrt.LocalPolicy{ripsrt.Lazy, ripsrt.Eager} {
-		for _, global := range []ripsrt.GlobalPolicy{ripsrt.Any, ripsrt.All} {
-			res := mustRun(t, Config{
-				Topo:        topo.NewMesh(2, 2),
-				App:         queens8(),
-				Local:       local,
-				Global:      global,
-				TracePhases: true,
-			})
-			label := "RIPS " + global.String() + "-" + local.String()
-			checkQueens8(t, res, label)
-			if res.Phases == 0 {
-				t.Errorf("%s: no system phases ran", label)
-			}
-			if len(res.PhaseTotals) != int(res.Phases) {
-				t.Errorf("%s: %d phase totals for %d phases", label, len(res.PhaseTotals), res.Phases)
-			}
-			if res.PhaseTotals[len(res.PhaseTotals)-1] != 0 {
-				t.Errorf("%s: final phase total %d, want 0 (termination)", label, res.PhaseTotals[len(res.PhaseTotals)-1])
-			}
-			var sum int64
-			max := 0
-			for _, v := range res.PhaseTotals {
-				sum += int64(v)
-				if v > max {
-					max = v
-				}
-			}
-			if res.PhaseSum != sum || res.PhaseMax != max {
-				t.Errorf("%s: phase summary sum=%d max=%d, trace says sum=%d max=%d",
-					label, res.PhaseSum, res.PhaseMax, sum, max)
-			}
-		}
 	}
 }
 
