@@ -326,9 +326,13 @@ func Configs() []*App {
 }
 
 // Config returns one of the paper's configurations (1-based) without
-// constructing the others — construction runs the sequential
-// bound-discovery IDA*, which is costly for the larger configs, so
-// callers needing a single configuration should not pay for all three.
+// constructing the others. Construction runs the sequential
+// bound-discovery IDA*, which takes tens to hundreds of milliseconds
+// for the larger configs, so a process should pay for it once per
+// configuration: rips.LookupApp("ida", i) builds each on first use and
+// shares the instance with every later job. Sharing is safe because an
+// App is never written after New returns and Roots returns a fresh
+// slice.
 func Config(i int) *App {
 	switch i {
 	case 1:

@@ -114,12 +114,6 @@ type Server struct {
 	order    []string // submission order, for deterministic listing
 	nextID   int
 	draining bool
-
-	// profiles caches sequential app profiles by app/size key: Measure
-	// runs the whole workload on one goroutine, far too expensive to
-	// repeat for every submission of the same workload.
-	profMu   sync.Mutex
-	profiles map[string]rips.Profile
 }
 
 // NewServer starts the worker pool and the tenant arbiter.
@@ -144,7 +138,6 @@ func NewServer(opts Options) (*Server, error) {
 		baseCancel: cancel,
 		idle:       make(chan struct{}),
 		jobs:       make(map[string]*Job),
-		profiles:   make(map[string]rips.Profile),
 	}
 	arb, err := tenant.New(tenant.Options{
 		Capacity:   opts.Workers,
@@ -323,26 +316,6 @@ func (s *Server) preemptTicket(t *tenant.Ticket) {
 	t.Ref.(*Job).requestPreempt()
 }
 
-// profile returns the cached sequential profile for a workload,
-// measuring it on first use.
-func (s *Server) profile(spec JobSpec, a rips.App) rips.Profile {
-	key := spec.App + "/" + strconv.Itoa(spec.Size)
-	s.profMu.Lock()
-	p, ok := s.profiles[key]
-	s.profMu.Unlock()
-	if ok {
-		return p
-	}
-	// Measured outside the lock: profiles of large workloads take real
-	// time, and concurrent misses for the same key are just redundant,
-	// not wrong (Measure is deterministic).
-	p = rips.Measure(a)
-	s.profMu.Lock()
-	s.profiles[key] = p
-	s.profMu.Unlock()
-	return p
-}
-
 // runTicket executes one dispatched attempt of a job on a sub-pool
 // lease sized to its machine, then settles, fails, requeues (preempt)
 // or retires it with the arbiter. It runs on its own goroutine, once
@@ -355,15 +328,22 @@ func (s *Server) runTicket(t *tenant.Ticket) {
 		return
 	}
 	runCtx := job.beginAttempt()
+	// The registry measures a workload's sequential profile once per
+	// process and keeps it with the shared app.
+	p, err := rips.LookupProfile(job.Spec.App, job.Spec.Size)
+	if err != nil {
+		job.endAttempt()
+		s.finish(t, job, StateFailed, nil, fmt.Errorf("serve: %w", err))
+		return
+	}
 	cfg := job.cfg
 	if cfg.Backend == rips.Cluster {
-		s.runClusterAttempt(t, job, runCtx)
+		s.runClusterAttempt(t, job, runCtx, p)
 		return
 	}
 	cfg.OnPhase = job.appendPhase
 	var sub *rips.Pool
 	if poolBacked(cfg.Backend) {
-		var err error
 		if sub, err = s.pool.Split(t.Workers); err != nil {
 			// The arbiter's ledger guarantees the lease, so this is a
 			// closing pool (or a bug): fail the job rather than wedge.
@@ -373,7 +353,6 @@ func (s *Server) runTicket(t *tenant.Ticket) {
 		}
 		cfg.Pool = sub
 	}
-	p := s.profile(job.Spec, job.app)
 	res, err := rips.RunProfiledContext(runCtx, job.app, p, cfg)
 	if sub != nil {
 		// Before Done/Yielded: the workers must be back in the root's
@@ -407,8 +386,7 @@ func (s *Server) runTicket(t *tenant.Ticket) {
 // phase protocol runs between processes, out of OnPhase's reach.
 // Cancellation still travels the same context path, surfacing as a
 // Canceled partial result.
-func (s *Server) runClusterAttempt(t *tenant.Ticket, job *Job, runCtx context.Context) {
-	p := s.profile(job.Spec, job.app)
+func (s *Server) runClusterAttempt(t *tenant.Ticket, job *Job, runCtx context.Context, p rips.Profile) {
 	cres, err := s.opts.Cluster.Submit(runCtx, job.Spec)
 	res := clusterResult(cres, p)
 	doc := rips.EncodeResult(job.cfg, res)

@@ -200,13 +200,15 @@ func TestPoolLeaseConcurrent(t *testing.T) {
 					}
 				}
 
+				// Off the tally before the workers go back: another
+				// goroutine may lease them the moment Release returns.
+				mu.Lock()
+				leased -= size
+				mu.Unlock()
 				sub.Release()
 				if rng.Intn(4) == 0 {
 					sub.Release() // double release must stay a no-op under contention
 				}
-				mu.Lock()
-				leased -= size
-				mu.Unlock()
 			}
 		}(int64(g))
 	}
